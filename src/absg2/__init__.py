@@ -19,7 +19,6 @@ from .core import (
     PathProbabilities,
     SourceKind,
     VisibilityResult,
-    validate_config,
 )
 from .probability import path_probabilities, way_probabilities
 from .alternatives import (
@@ -27,7 +26,6 @@ from .alternatives import (
     enumerate_alternatives,
     independent_phase_slots,
     phase_model,
-    temporal_propagator,
 )
 from .analytic import (
     ClosedFormG2,
@@ -42,7 +40,6 @@ from .montecarlo import (
     McSettings,
     fit_cosine,
     g2_monte_carlo,
-    realization_value,
     visibility_from_curve,
 )
 from .optimize import (
@@ -80,10 +77,7 @@ __all__ = [
     "maximize_visibility",
     "path_probabilities",
     "phase_model",
-    "realization_value",
-    "temporal_propagator",
     "threshold_min_ratio",
-    "validate_config",
     "visibility_analytic",
     "visibility_expression",
     "visibility_from_curve",

@@ -27,7 +27,6 @@ pairs, less when a single-photon source removes ways).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,38 +37,31 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class PhaseModel:
-    """Phase-slot layout of one pairing: how many slots a realization draws
-    and what each slot means.  Slot assignment per term is deterministic."""
+    """Phase-slot layout of one pairing: how many slots a realization draws.
+    Slot assignment per term is deterministic."""
 
     pair: PairKind
     n_slots: int
-    slot_names: tuple[str, ...]
 
 
-_SLOT_NAMES: dict[PairKind, tuple[str, ...]] = {
-    # thermal a: one pair of slots for the same-source ways, one for the
-    # cross way; laser b: a single shared slot.
-    PairKind.LT: ("a.0", "a.1", "a.x", "b.laser"),
-    PairKind.LL: ("a.laser", "b.laser"),
-    PairKind.TT: ("a.0", "a.1", "a.x", "b.0", "b.1", "b.x"),
-    PairKind.SS: ("a.photon", "b.photon"),
-    PairKind.SL: ("a.photon", "b.laser"),
-    PairKind.ST: ("a.photon", "b.0", "b.1", "b.x"),
+# Slot meanings, in index order.  A thermal source has one pair of slots for
+# its same-source ways and one for the cross way; a laser or single-photon
+# source has a single slot.
+#   LT: a.0 a.1 a.x b.laser          LL: a.laser b.laser
+#   TT: a.0 a.1 a.x b.0 b.1 b.x      SS: a.photon b.photon
+#   SL: a.photon b.laser             ST: a.photon b.0 b.1 b.x
+_N_SLOTS = {
+    PairKind.LT: 4,
+    PairKind.LL: 2,
+    PairKind.TT: 6,
+    PairKind.SS: 2,
+    PairKind.SL: 2,
+    PairKind.ST: 4,
 }
 
 
 def phase_model(pair: PairKind) -> PhaseModel:
-    names = _SLOT_NAMES[pair]
-    return PhaseModel(pair=pair, n_slots=len(names), slot_names=names)
-
-
-def temporal_propagator(nu: float, t: float) -> complex:
-    """Unit-modulus temporal factor exp(i 2 pi nu t) of one photon amplitude.
-
-    With all source-to-detector optical distances equal, the spatial factor
-    is a common constant across alternatives and is dropped.
-    """
-    return cmath.exp(1j * 2.0 * math.pi * nu * t)
+    return PhaseModel(pair=pair, n_slots=_N_SLOTS[pair])
 
 
 def enumerate_alternatives(pair: PairKind, p: PathProbabilities) -> list[Alternative]:

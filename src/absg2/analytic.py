@@ -21,29 +21,37 @@ of (x, R); agreement of the two routes is a regression guard, not a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import DomainError, G2Curve, PairKind, PathProbabilities, VisibilityResult
+from .core import (
+    ALGEBRA_TOL,
+    DomainError,
+    G2Curve,
+    PairKind,
+    PathProbabilities,
+    VisibilityResult,
+    _open_unit,
+    _positive_real,
+)
 
 
 @dataclass(frozen=True)
 class ClosedFormG2:
-    """Coefficients of G2(tau) = constant + sign * amplitude * cos(2 pi dv tau).
+    """Coefficients of G2(tau) = constant - amplitude * cos(2 pi dv tau).
 
-    sign is -1 for every pairing: the pi relative phase between the two cross
-    alternatives makes the beat a dip at tau = 0, never a peak.
+    The minus sign holds for every pairing: the pi relative phase between the
+    two cross alternatives makes the beat a dip at tau = 0, never a peak.
     """
 
     constant_term: float
     oscillation_amplitude: float
-    sign: int = field(default=-1, init=False)
 
     def __post_init__(self) -> None:
         if not self.constant_term >= self.oscillation_amplitude >= 0.0:
             raise DomainError("need constant_term >= oscillation_amplitude >= 0")
 
     def value(self, delta_nu: float, tau: float) -> float:
-        return self.constant_term + self.sign * self.oscillation_amplitude * math.cos(
+        return self.constant_term - self.oscillation_amplitude * math.cos(
             2.0 * math.pi * delta_nu * tau
         )
 
@@ -64,6 +72,8 @@ def g2_closed_form(pair: PairKind, p: PathProbabilities) -> ClosedFormG2:
         PairKind.SL: p.p1b * p.p2b + cross,
         PairKind.ST: 2.0 * p.p1b * p.p2b + cross,
     }[pair]
+    if amplitude - constant <= ALGEBRA_TOL:  # at V = 1 roundoff can overshoot by an ulp
+        amplitude = min(amplitude, constant)
     return ClosedFormG2(constant_term=constant, oscillation_amplitude=amplitude)
 
 
@@ -91,7 +101,7 @@ def visibility_expression(pair: PairKind, x, r):
     rt = r * (1.0 - r)
     if pair is PairKind.SS:
         return 2.0 * rt / (1.0 - 2.0 * rt)
-    num = 2.0 * x * rt
+    num = 2.0 * rt * x  # 2 rt <= 0.5, so this cannot overflow for finite x
     if pair is PairKind.LL:
         return num / ((x + r - x * r) * (1.0 - r + x * r))
     if pair is PairKind.LT:
@@ -108,20 +118,13 @@ def visibility_expression(pair: PairKind, x, r):
 def visibility_analytic(pair: PairKind, x: float, r: float) -> float:
     """Visibility of the interference pattern at intensity ratio x and
     reflectivity r, from the pairing's closed-form rational function."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
-        raise DomainError("x must be > 0")
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError("R out of (0,1)")
-    return float(visibility_expression(pair, float(x), float(r)))
+    return float(visibility_expression(pair, _positive_real(x), _open_unit(r)))
 
 
 def visibility_from_extrema(g2_max: float, g2_min: float) -> VisibilityResult:
     """Contrast (g2_max - g2_min) / (g2_max + g2_min) of a curve's extrema."""
-    if g2_min < 0.0:
-        raise DomainError("g2 extrema must be >= 0")
-    if g2_max <= 0.0:
-        raise DomainError("g2_max must be > 0")
-    if g2_min > g2_max:
-        raise DomainError("g2_min must not exceed g2_max")
+    g2_max, g2_min = float(g2_max), float(g2_min)
+    if not g2_max + g2_min > 0.0:  # VisibilityResult checks the rest
+        raise DomainError("extrema must satisfy g2_max >= g2_min >= 0 and g2_max > 0")
     v = (g2_max - g2_min) / (g2_max + g2_min)
-    return VisibilityResult(v=v, g2_max=float(g2_max), g2_min=float(g2_min))
+    return VisibilityResult(v=v, g2_max=g2_max, g2_min=g2_min)

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .analytic import g2_closed_form, visibility_analytic, visibility_expression
+from .analytic import g2_curve_analytic, visibility_analytic, visibility_expression
 from .core import BeamSplitter, DomainError, ExperimentConfig, PairKind
 from .montecarlo import McSettings, g2_monte_carlo, visibility_from_curve
 from .optimize import maximize_visibility
@@ -62,13 +62,11 @@ def _interior_grid(count: int) -> list[float]:
 
 def _build_presets() -> dict[str, tuple[str, list[float], list[float]]]:
     """Named sweeps as (pair, x grid, R grid).  The lt-vs-x preset sweeps the
-    ratio at fixed reflectivities; lt-vs-x-alt is the transposed reading with
-    the same six values used as ratios instead."""
+    ratio at fixed reflectivities."""
     log_x = [float(v) for v in np.logspace(-2, 1, 100)]
     presets = {
         "lt-vs-r": ("lt", [0.1, 0.5, 0.71, 2.0, 5.0, 10.0], _interior_grid(99)),
         "lt-vs-x": ("lt", log_x, [0.05, 0.1, 0.2, 0.3, 0.4, 0.5]),
-        "lt-vs-x-alt": ("lt", [0.05, 0.1, 0.2, 0.3, 0.4, 0.5], _interior_grid(99)),
     }
     for pair in _PAIRS:
         presets[f"{pair}-surface"] = (pair, log_x, _interior_grid(98))
@@ -108,6 +106,8 @@ def _mc_settings(args: argparse.Namespace) -> McSettings:
 
 
 def _default_tau_grid(delta_nu: float, points: int = 81) -> tuple[float, ...]:
+    if not 0.0 < delta_nu < math.inf:
+        raise DomainError("the default tau grid needs a finite --delta-nu > 0")
     span = 1.0 / delta_nu
     return tuple(float(t) for t in np.linspace(-span, span, points))
 
@@ -146,37 +146,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_g2(args: argparse.Namespace) -> int:
-    pair = PairKind(args.pair)
-    if args.tau is not None:
-        tau_grid = tuple(_parse_grid(args.tau, "--tau"))
-    elif args.delta_nu > 0:
+    if args.tau is None:
         tau_grid = _default_tau_grid(args.delta_nu)
     else:
-        raise DomainError("--tau is required when --delta-nu is 0")
-
-    if args.mode == "analytic":
-        form = g2_closed_form(pair, path_probabilities(args.x, BeamSplitter(args.r)))
-        lines = ["tau,g2"]
-        for t in tau_grid:
-            lines.append(f"{_fmt(t)},{_fmt(form.value(args.delta_nu, t))}")
-        _write_text(args.out, "\n".join(lines) + "\n")
-        return 0
-
-    if args.delta_nu <= 0:
-        raise DomainError("degenerate curve: delta_nu must be > 0 in mc mode")
+        tau_grid = _parse_grid(args.tau, "--tau")
     cfg = ExperimentConfig(
-        pair=pair,
+        pair=PairKind(args.pair),
         intensity_ratio=args.x,
         bs=BeamSplitter(args.r),
         delta_nu=args.delta_nu,
         tau_grid=tau_grid,
     )
+    if args.mode == "analytic":
+        p = path_probabilities(cfg.intensity_ratio, cfg.bs)
+        curve = g2_curve_analytic(cfg.pair, p, cfg.delta_nu, cfg.tau_grid)
+        lines = ["tau,g2"] + [f"{_fmt(t)},{_fmt(g)}" for t, g in zip(curve.tau, curve.g2)]
+        _write_text(args.out, "\n".join(lines) + "\n")
+        return 0
+
+    if cfg.delta_nu == 0.0:
+        raise DomainError("degenerate curve: delta_nu must be > 0 in mc mode")
     curve = g2_monte_carlo(cfg, _mc_settings(args))
     lines = ["tau,g2,stderr"]
     for t, g, s in zip(curve.tau, curve.g2, curve.stderr):
         lines.append(f"{_fmt(t)},{_fmt(g)},{_fmt(s)}")
     _write_text(args.out, "\n".join(lines) + "\n")
-    result = visibility_from_curve(curve, args.delta_nu)
+    result = visibility_from_curve(curve, cfg.delta_nu)
     print(f"fitted V = {result.v:.9f} +- {result.v_stderr:.9f}")
     return 0
 

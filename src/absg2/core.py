@@ -8,18 +8,42 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 # Tolerance for algebraic identities between 64-bit floats (p1a + p1b = 1,
 # visibility vs. extrema, ...).
 ALGEBRA_TOL = 1e-12
 
-# Extra phase picked up on reflection at a lossless beam splitter.
-REFLECTION_PHASE = math.pi / 2
-
 
 class DomainError(ValueError):
     """A physical parameter violates its domain constraint."""
+
+
+def _as_float(value) -> float:
+    """value as a float if it is a real number other than bool, else nan."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        return math.nan
+
+
+def _positive_real(value) -> float:
+    """The intensity ratio as a float; it must be finite and > 0."""
+    x = _as_float(value)
+    if not 0.0 < x < math.inf:
+        raise DomainError("x must be > 0")
+    return x
+
+
+def _open_unit(value) -> float:
+    """The reflectivity as a float; it must lie strictly inside (0, 1)."""
+    r = _as_float(value)
+    if not 0.0 < r < 1.0:
+        raise DomainError("R out of (0,1)")
+    return r
 
 
 class SourceKind(enum.IntEnum):
@@ -92,13 +116,9 @@ class BeamSplitter:
     """
 
     reflectivity: float
-    reflection_phase: float = field(default=REFLECTION_PHASE, init=False)
 
     def __post_init__(self) -> None:
-        r = self.reflectivity
-        if not (isinstance(r, (int, float)) and math.isfinite(r)) or not 0.0 < r < 1.0:
-            raise DomainError("R out of (0,1)")
-        object.__setattr__(self, "reflectivity", float(r))
+        object.__setattr__(self, "reflectivity", _open_unit(self.reflectivity))
 
     @property
     def transmissivity(self) -> float:
@@ -145,39 +165,26 @@ class ExperimentConfig:
     tau_grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
-        _check_config(self)
-
-
-def _check_config(cfg: ExperimentConfig) -> None:
-    if not isinstance(cfg.pair, PairKind):
-        raise DomainError(f"pair must be a PairKind, got {cfg.pair!r}")
-    x = cfg.intensity_ratio
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
-        raise DomainError("x must be > 0")
-    if not isinstance(cfg.bs, BeamSplitter):
-        raise DomainError("bs must be a BeamSplitter")
-    if not (math.isfinite(cfg.delta_nu) and cfg.delta_nu >= 0.0):
-        raise DomainError("delta_nu must be >= 0 and finite")
-    if len(cfg.tau_grid) == 0:
-        raise DomainError("tau_grid must be non-empty")
-    if any(b <= a for a, b in zip(cfg.tau_grid, cfg.tau_grid[1:])):
-        raise DomainError("tau_grid must be strictly increasing")
-
-
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Re-check every invariant of cfg and return it unchanged.
-
-    Construction already validates, so this is the explicit entry point for
-    configs coming from untrusted call sites (the CLI, deserialization).
-    """
-    _check_config(cfg)
-    for tau in cfg.tau_grid:
-        if not math.isfinite(tau):
+        if not isinstance(self.pair, PairKind):
+            raise DomainError(f"pair must be a PairKind, got {self.pair!r}")
+        object.__setattr__(self, "intensity_ratio", _positive_real(self.intensity_ratio))
+        if not isinstance(self.bs, BeamSplitter):
+            raise DomainError("bs must be a BeamSplitter")
+        delta_nu = _as_float(self.delta_nu)
+        if not 0.0 <= delta_nu < math.inf:
+            raise DomainError("delta_nu must be >= 0 and finite")
+        object.__setattr__(self, "delta_nu", delta_nu)
+        tau = tuple(_as_float(t) for t in self.tau_grid)
+        object.__setattr__(self, "tau_grid", tau)
+        if len(tau) == 0:
+            raise DomainError("tau_grid must be non-empty")
+        if not all(math.isfinite(t) for t in tau):
             raise DomainError("tau_grid entries must be finite")
-    # re-trigger BeamSplitter's own check in case of field tampering
-    BeamSplitter(cfg.bs.reflectivity)
-    return cfg
+        if any(b <= a for a, b in zip(tau, tau[1:])):
+            raise DomainError("tau_grid must be strictly increasing")
+        # the curves evaluate cos(2 pi delta_nu tau); the ends bound its argument
+        if not all(math.isfinite(2.0 * math.pi * delta_nu * t) for t in (tau[0], tau[-1])):
+            raise DomainError("2 pi delta_nu tau must be finite")
 
 
 @dataclass(frozen=True)

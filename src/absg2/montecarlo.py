@@ -26,21 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alternatives import (
-    enumerate_alternatives,
-    independent_phase_slots,
-    phase_model,
-    temporal_propagator,
-)
-from .core import (
-    Alternative,
-    DomainError,
-    ExperimentConfig,
-    G2Curve,
-    PairKind,
-    VisibilityResult,
-    validate_config,
-)
+from .alternatives import enumerate_alternatives, independent_phase_slots, phase_model
+from .core import Alternative, DomainError, ExperimentConfig, G2Curve, VisibilityResult
 from .probability import path_probabilities
 
 # How far a fitted coefficient may sit outside its physical range before we
@@ -64,50 +51,14 @@ class McSettings:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_realizations < 1:
-            raise DomainError("n_realizations must be >= 1")
+        if self.n_realizations < 2:  # one realization has no sample variance
+            raise DomainError("n_realizations must be >= 2")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 bits")
         if self.parallel_chunk < 1:
             raise DomainError("parallel_chunk must be >= 1")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
-
-
-def realization_value(
-    pair: PairKind,
-    alts: list[Alternative],
-    phases,
-    delta_nu: float,
-    tau: float,
-) -> float:
-    """|sum of alternative amplitudes|^2 for one phase draw.
-
-    Reference implementation, one term at a time; the batched estimator in
-    :func:`g2_monte_carlo` must agree with averaging this.
-    """
-    needed = phase_model(pair).n_slots
-    span = 1 + max(max(a.phase_slots) for a in alts)
-    if span > needed:  # relabeled term list (negative control)
-        needed = span
-    if len(phases) != needed:
-        raise DomainError(f"phase vector must have length {needed}, got {len(phases)}")
-    nu = {"a": delta_nu, "b": 0.0}
-    t1, t2 = tau, 0.0
-    amp = 0.0 + 0.0j
-    for a in alts:
-        phi = (
-            phases[a.phase_slots[0]]
-            + phases[a.phase_slots[1]]
-            + a.bs_phase_count * (math.pi / 2.0)
-        )
-        amp += (
-            a.weight
-            * complex(math.cos(phi), math.sin(phi))
-            * temporal_propagator(nu[a.d1_source], t1)
-            * temporal_propagator(nu[a.d2_source], t2)
-        )
-    return abs(amp) ** 2
 
 
 def _term_arrays(alts: list[Alternative]):
@@ -158,7 +109,6 @@ def g2_monte_carlo(
     independent_phases=True runs the negative control from
     :func:`absg2.alternatives.independent_phase_slots`.
     """
-    validate_config(cfg)
     p = path_probabilities(cfg.intensity_ratio, cfg.bs)
     alts = enumerate_alternatives(cfg.pair, p)
     n_slots = phase_model(cfg.pair).n_slots
@@ -206,13 +156,9 @@ def g2_monte_carlo(
     ) / n_total
     comp_cov = comp_second - np.outer(comp_mean, comp_mean)
 
-    if n_total > 1:
-        bessel = n_total / (n_total - 1)
-        stderr = np.sqrt(var * bessel / n_total)
-        beat_cov = comp_cov * bessel / n_total  # covariance of the component means
-    else:
-        stderr = np.zeros_like(var)
-        beat_cov = np.zeros((3, 3))
+    bessel = n_total / (n_total - 1)
+    stderr = np.sqrt(var * bessel / n_total)
+    beat_cov = comp_cov * bessel / n_total  # covariance of the component means
 
     if mean.min() < -1e-9:
         raise DomainError("negative curve mean beyond roundoff; amplitude model is broken")
@@ -265,25 +211,17 @@ def fit_cosine(curve: G2Curve, delta_nu: float) -> tuple[float, float, np.ndarra
     return level, amplitude, cov
 
 
-def visibility_from_curve(
-    curve: G2Curve, delta_nu: float, *, raw_extrema: bool = False
-) -> VisibilityResult:
+def visibility_from_curve(curve: G2Curve, delta_nu: float) -> VisibilityResult:
     """Visibility of a sampled curve.
 
-    Default mode fits the known sinusoid shape and returns
-    v = amplitude/level with extrema level +- amplitude; raw min/max of a
-    noisy curve would bias the contrast upward.  raw_extrema=True gives that
-    biased estimate anyway, for comparison.
+    Fits the known sinusoid shape and returns v = amplitude/level with
+    extrema level +- amplitude; raw min/max of a noisy curve would bias the
+    contrast upward.
 
     A fitted amplitude outside [0, level] is pulled back to the boundary
     when compatible with sampling noise, and rejected as a sign/convention
     bug when it is not.
     """
-    if raw_extrema:
-        from .analytic import visibility_from_extrema
-
-        return visibility_from_extrema(max(curve.g2), min(curve.g2))
-
     level, amplitude, cov = fit_cosine(curve, delta_nu)
     se_level = math.sqrt(max(cov[0, 0], 0.0))
     se_amp = math.sqrt(max(cov[1, 1], 0.0))

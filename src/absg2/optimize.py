@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import visibility_expression
-from .core import DomainError, PairKind
+from .core import DomainError, PairKind, _open_unit
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -141,8 +141,7 @@ def threshold_min_ratio(pair: PairKind, r: float) -> float | None:
     """
     if pair not in (PairKind.SL, PairKind.ST):
         raise DomainError("threshold is defined for SL and ST pairings only")
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError("R out of (0,1)")
+    r = _open_unit(r)
     margin = 6.0 * r - 6.0 * r * r - 1.0
     if margin <= 0.0:
         return None

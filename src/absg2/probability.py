@@ -6,9 +6,7 @@ redundant degree of freedom and are never stored.
 
 from __future__ import annotations
 
-import math
-
-from .core import BeamSplitter, DomainError, PathProbabilities
+from .core import BeamSplitter, PathProbabilities, _positive_real
 
 
 def path_probabilities(intensity_ratio: float, bs: BeamSplitter) -> PathProbabilities:
@@ -21,9 +19,7 @@ def path_probabilities(intensity_ratio: float, bs: BeamSplitter) -> PathProbabil
 
     with T = 1 - R and x the intensity ratio I_a / I_b.
     """
-    x = intensity_ratio
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
-        raise DomainError("x must be > 0")
+    x = _positive_real(intensity_ratio)
     r = bs.reflectivity
     t = bs.transmissivity
     p1a = x * t / (x * t + r)

@@ -2,11 +2,58 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from absg2.core import Alternative
+from absg2.alternatives import phase_model
+from absg2.core import Alternative, DomainError, PairKind
+
+
+def temporal_propagator(nu: float, t: float) -> complex:
+    """Unit-modulus temporal factor exp(i 2 pi nu t) of one photon amplitude.
+
+    With all source-to-detector optical distances equal, the spatial factor
+    is a common constant across alternatives and is dropped.
+    """
+    return cmath.exp(1j * 2.0 * math.pi * nu * t)
+
+
+def realization_value(
+    pair: PairKind,
+    alts: list[Alternative],
+    phases,
+    delta_nu: float,
+    tau: float,
+) -> float:
+    """|sum of alternative amplitudes|^2 for one phase draw.
+
+    Reference implementation, one term at a time; the batched estimator in
+    :func:`absg2.montecarlo.g2_monte_carlo` must agree with averaging this.
+    """
+    needed = phase_model(pair).n_slots
+    span = 1 + max(max(a.phase_slots) for a in alts)
+    if span > needed:  # relabeled term list (negative control)
+        needed = span
+    if len(phases) != needed:
+        raise DomainError(f"phase vector must have length {needed}, got {len(phases)}")
+    nu = {"a": delta_nu, "b": 0.0}
+    t1, t2 = tau, 0.0
+    amp = 0.0 + 0.0j
+    for a in alts:
+        phi = (
+            phases[a.phase_slots[0]]
+            + phases[a.phase_slots[1]]
+            + a.bs_phase_count * (math.pi / 2.0)
+        )
+        amp += (
+            a.weight
+            * complex(math.cos(phi), math.sin(phi))
+            * temporal_propagator(nu[a.d1_source], t1)
+            * temporal_propagator(nu[a.d2_source], t2)
+        )
+    return abs(amp) ** 2
 
 
 def exact_phase_average(alts: list[Alternative], delta_nu: float, tau: float) -> float:

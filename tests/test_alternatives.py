@@ -7,12 +7,11 @@ from absg2.alternatives import (
     enumerate_alternatives,
     independent_phase_slots,
     phase_model,
-    temporal_propagator,
 )
 from absg2.core import BeamSplitter, PairKind
 from absg2.probability import path_probabilities, way_probabilities
 
-from helpers import random_domain_points
+from helpers import random_domain_points, temporal_propagator
 
 TERM_COUNTS = {
     PairKind.LT: 5,

@@ -5,6 +5,7 @@ import pytest
 
 from absg2.alternatives import enumerate_alternatives
 from absg2.analytic import (
+    ClosedFormG2,
     g2_analytic,
     g2_closed_form,
     g2_curve_analytic,
@@ -147,3 +148,23 @@ def test_analytic_curve_metadata():
     assert curve.seed is None
     assert curve.stderr is None
     assert curve.g2[1] == 0.5
+
+
+def test_full_dip_survives_roundoff():
+    # At R = 0.5, 2 sqrt(p1a p1b p2a p2b) rounds one ulp above the SS constant
+    # for some ratios; the closed form must still give V = 1 and a zero dip.
+    for x in np.logspace(-3, 3, 200):
+        form = g2_closed_form(PairKind.SS, path_probabilities(float(x), BeamSplitter(0.5)))
+        assert form.visibility == pytest.approx(1.0, abs=1e-12)
+        assert form.value(1e6, 0.0) == pytest.approx(0.0, abs=1e-15)
+    rs = [k / 20 for k in range(1, 20)]
+    for pair in PairKind:
+        for x in np.logspace(-3, 3, 200):
+            for r in rs:
+                form = g2_closed_form(pair, path_probabilities(float(x), BeamSplitter(r)))
+                assert 0.0 <= form.visibility <= 1.0
+
+
+def test_closed_form_rejects_real_excess():
+    with pytest.raises(DomainError, match="constant_term >= oscillation_amplitude"):
+        ClosedFormG2(constant_term=1.0, oscillation_amplitude=1.0 + 1e-9)

@@ -1,5 +1,4 @@
-import math
-
+import numpy as np
 import pytest
 
 from absg2.core import (
@@ -11,7 +10,6 @@ from absg2.core import (
     PathProbabilities,
     SourceKind,
     VisibilityResult,
-    validate_config,
 )
 
 
@@ -42,13 +40,20 @@ def test_beam_splitter_lossless_identity():
     for r in (0.1, 0.25, 0.5, 1.0 / 3.0, 0.999):
         bs = BeamSplitter(r)
         assert bs.reflectivity + bs.transmissivity == 1.0
-    assert BeamSplitter(0.5).reflection_phase == math.pi / 2
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, float("nan"), float("inf")])
 def test_beam_splitter_rejects_degenerate(bad):
     with pytest.raises(DomainError, match="R out of"):
         BeamSplitter(bad)
+
+
+def test_beam_splitter_takes_numpy_reals_and_rejects_bool():
+    assert BeamSplitter(np.float32(0.25)).reflectivity == 0.25
+    assert type(BeamSplitter(np.float64(0.5)).reflectivity) is float
+    for bad in (True, False, np.bool_(True), "0.5", None):
+        with pytest.raises(DomainError, match="R out of"):
+            BeamSplitter(bad)
 
 
 def _config(**overrides):
@@ -63,9 +68,11 @@ def _config(**overrides):
     return ExperimentConfig(**base)
 
 
-def test_validate_config_accepts_good_config():
-    cfg = _config()
-    assert validate_config(cfg) is cfg
+def test_config_accepts_good_config():
+    cfg = _config(intensity_ratio=np.float32(2.0), delta_nu=np.int64(1_000_000))
+    assert cfg.intensity_ratio == 2.0 and type(cfg.intensity_ratio) is float
+    assert cfg.delta_nu == 1e6 and type(cfg.delta_nu) is float
+    assert all(type(t) is float for t in cfg.tau_grid)
 
 
 def test_config_rejects_bad_ratio():
@@ -73,6 +80,8 @@ def test_config_rejects_bad_ratio():
         _config(intensity_ratio=0.0)
     with pytest.raises(DomainError, match="x must be > 0"):
         _config(intensity_ratio=float("inf"))
+    with pytest.raises(DomainError, match="x must be > 0"):
+        _config(intensity_ratio=True)
 
 
 def test_config_rejects_bad_tau_grid():
@@ -80,6 +89,9 @@ def test_config_rejects_bad_tau_grid():
         _config(tau_grid=(0.0, 1e-6, 1e-6))
     with pytest.raises(DomainError, match="non-empty"):
         _config(tau_grid=())
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="finite"):
+            _config(tau_grid=(-1e-6, bad))
 
 
 def test_config_rejects_bad_delta_nu():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from absg2.alternatives import enumerate_alternatives, phase_model
-from absg2.analytic import g2_curve_analytic
+from absg2.analytic import g2_curve_analytic, visibility_from_extrema
 from absg2.core import (
     BeamSplitter,
     DomainError,
@@ -17,10 +17,11 @@ from absg2.montecarlo import (
     McSettings,
     fit_cosine,
     g2_monte_carlo,
-    realization_value,
     visibility_from_curve,
 )
 from absg2.probability import path_probabilities
+
+from helpers import realization_value
 
 SYM = PathProbabilities(0.5, 0.5, 0.5, 0.5)
 DELTA_NU = 1e6
@@ -174,7 +175,7 @@ def test_inverted_curve_flags_sign_bug():
 
 def test_raw_extrema_mode():
     curve = g2_curve_analytic(PairKind.LL, SYM, DELTA_NU, TAU_GRID)
-    res = visibility_from_curve(curve, DELTA_NU, raw_extrema=True)
+    res = visibility_from_extrema(max(curve.g2), min(curve.g2))
     assert res.v == pytest.approx(0.5, abs=1e-12)
 
 
@@ -207,6 +208,9 @@ def test_reported_stderr_tracks_seed_scatter():
 def test_mc_settings_validation():
     with pytest.raises(DomainError):
         McSettings(n_realizations=0)
+    with pytest.raises(DomainError, match=">= 2"):
+        McSettings(n_realizations=1)  # no sample variance, so no honest stderr
+    assert McSettings(n_realizations=2).n_realizations == 2
     with pytest.raises(DomainError):
         McSettings(seed=-1)
     with pytest.raises(DomainError):
