@@ -62,7 +62,8 @@ class ClosedFormG2:
 
 def g2_closed_form(pair: PairKind, p: PathProbabilities) -> ClosedFormG2:
     """Constant and oscillation amplitude of the averaged coherence curve."""
-    amplitude = 2.0 * math.sqrt(p.p1a * p.p1b * p.p2a * p.p2b)
+    # paired so that neither product underflows when x is extreme
+    amplitude = 2.0 * math.sqrt(p.p1a * p.p2b) * math.sqrt(p.p1b * p.p2a)
     cross = p.p1a * p.p2b + p.p1b * p.p2a
     constant = {
         PairKind.LT: 1.0 + p.p1a * p.p2a,

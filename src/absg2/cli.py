@@ -12,6 +12,7 @@ environment variable (0 if unset) and is overridden by --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from .analytic import g2_curve_analytic, visibility_analytic, visibility_expression
-from .core import BeamSplitter, DomainError, ExperimentConfig, PairKind
+from .core import BeamSplitter, DomainError, ExperimentConfig, PairKind, _positive_real
 from .montecarlo import McSettings, g2_monte_carlo, visibility_from_curve
 from .optimize import maximize_visibility
 from .probability import path_probabilities
@@ -28,8 +29,16 @@ from .probability import path_probabilities
 _PAIRS = [p.value for p in PairKind]
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
+def _fmt(values) -> list[str]:
+    return [format(v, ".9g") for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _count(text: str) -> int:
+    """A count such as 1e5; argparse turns the error into a usage message."""
+    try:
+        return int(float(text))
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"expected a finite count, got {text!r}") from None
 
 
 def _parse_grid(spec: str, name: str) -> list[float]:
@@ -84,22 +93,23 @@ def _default_seed() -> int:
         raise DomainError(f"ABS_SEED must be an integer, got {raw!r}") from None
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else _default_seed()
-
-
-def _write_text(path: str, text: str) -> None:
+def _write_csv(path: str, header: str, blocks) -> None:
+    """Write the header, then each block of rows, to path ('-' for stdout).
+    A block is a tuple of columns of formatted cells; one is in memory at a time."""
     if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        out = contextlib.nullcontext(sys.stdout)
+    else:
+        out = open(path, "w", encoding="utf-8", newline="")
+    with out as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _mc_settings(args: argparse.Namespace) -> McSettings:
     return McSettings(
         n_realizations=args.n,
-        seed=_resolve_seed(args),
+        seed=args.seed if args.seed is not None else _default_seed(),
         parallel_chunk=args.chunk,
         threads=args.threads,
     )
@@ -128,20 +138,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         pair = PairKind(args.pair)
         xs = _parse_grid(args.x, "--x")
         rs = _parse_grid(args.r, "--r")
-    for x in xs:
-        if not (math.isfinite(x) and x > 0):
-            raise DomainError("x must be > 0")
-    for r in rs:
-        # sweeps may include the R = 0 and R = 1 endpoints, where V = 0
-        if not (math.isfinite(r) and 0.0 <= r <= 1.0):
-            raise DomainError("R must lie in [0,1] for sweeps")
+    xs = [_positive_real(x) for x in xs]
+    # sweeps may include the R = 0 and R = 1 endpoints, where V = 0
+    if not all(0.0 <= r <= 1.0 for r in rs):
+        raise DomainError("R must lie in [0,1] for sweeps")
 
-    lines = ["pair,x,R,visibility"]
-    for x in xs:
-        for r in rs:
-            v = float(visibility_expression(pair, x, r))
-            lines.append(f"{pair.value},{_fmt(x)},{_fmt(r)},{_fmt(v)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    r_grid = np.asarray(rs, dtype=float)
+    r_text = _fmt(r_grid)
+
+    def rows():  # one block per x: the row of the grid at that ratio
+        for x, x_text in zip(xs, _fmt(xs)):
+            with np.errstate(all="ignore"):
+                v = visibility_expression(pair, x, r_grid)
+            if not np.isfinite(v).all():
+                raise DomainError(f"the closed form is not finite at x={x:g}")
+            yield [f"{pair.value},{x_text}"] * len(r_text), r_text, _fmt(v)
+
+    _write_csv(args.out, "pair,x,R,visibility", rows())
     return 0
 
 
@@ -160,17 +173,14 @@ def cmd_g2(args: argparse.Namespace) -> int:
     if args.mode == "analytic":
         p = path_probabilities(cfg.intensity_ratio, cfg.bs)
         curve = g2_curve_analytic(cfg.pair, p, cfg.delta_nu, cfg.tau_grid)
-        lines = ["tau,g2"] + [f"{_fmt(t)},{_fmt(g)}" for t, g in zip(curve.tau, curve.g2)]
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_csv(args.out, "tau,g2", [(_fmt(curve.tau), _fmt(curve.g2))])
         return 0
 
     if cfg.delta_nu == 0.0:
         raise DomainError("degenerate curve: delta_nu must be > 0 in mc mode")
     curve = g2_monte_carlo(cfg, _mc_settings(args))
-    lines = ["tau,g2,stderr"]
-    for t, g, s in zip(curve.tau, curve.g2, curve.stderr):
-        lines.append(f"{_fmt(t)},{_fmt(g)},{_fmt(s)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    columns = (_fmt(curve.tau), _fmt(curve.g2), _fmt(curve.stderr))
+    _write_csv(args.out, "tau,g2,stderr", [columns])
     result = visibility_from_curve(curve, cfg.delta_nu)
     print(f"fitted V = {result.v:.9f} +- {result.v_stderr:.9f}")
     return 0
@@ -257,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_mc_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=lambda s: int(float(s)), default=100_000,
+        p.add_argument("--n", type=_count, default=100_000,
                        help="Monte Carlo realizations (default 1e5)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: ABS_SEED env var, else 0)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 # Tolerance for algebraic identities between 64-bit floats (p1a + p1b = 1,
@@ -31,10 +32,12 @@ def _as_float(value) -> float:
 
 
 def _positive_real(value) -> float:
-    """The intensity ratio as a float; it must be finite and > 0."""
+    """The intensity ratio as a float; finite, > 0 and not subnormal."""
     x = _as_float(value)
     if not 0.0 < x < math.inf:
         raise DomainError("x must be > 0")
+    if x < sys.float_info.min:
+        raise DomainError("x must be >= 2.2e-308, the smallest normal float")
     return x
 
 
@@ -228,8 +231,8 @@ class G2Curve:
     and the component noise is fully correlated across tau points (it does
     not average down over the grid).  beat_cov stores the 3x3 covariance of
     the estimated (level, cos, sin) component means so downstream fits can
-    propagate uncertainty exactly; per-point stderr alone would understate
-    it severalfold.
+    propagate uncertainty exactly; per-point stderr is derived from it and
+    alone would understate it severalfold, so it never comes without it.
     """
 
     tau: tuple[float, ...]
@@ -250,8 +253,8 @@ class G2Curve:
             )
         if len(self.tau) != len(self.g2):
             raise DomainError("tau and g2 must have the same length")
-        if self.stderr is not None and len(self.stderr) != len(self.tau):
-            raise DomainError("stderr must match tau in length")
+        if self.stderr is not None and (self.beat_cov is None or len(self.stderr) != len(self.tau)):
+            raise DomainError("stderr must match tau and come with beat_cov")
         if self.beat_cov is not None and (
             len(self.beat_cov) != 3 or any(len(row) != 3 for row in self.beat_cov)
         ):

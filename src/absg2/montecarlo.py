@@ -136,29 +136,14 @@ def g2_monte_carlo(
     theta = 2.0 * math.pi * cfg.delta_nu * np.asarray(cfg.tau_grid)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     mean = (totals[0] + totals[1] * cos_t + totals[2] * sin_t) / n_total
-    second = (
-        totals[3]
-        + totals[4] * cos_t**2
-        + totals[5] * sin_t**2
-        + 2.0 * totals[6] * cos_t
-        + 2.0 * totals[7] * sin_t
-        + 2.0 * totals[8] * cos_t * sin_t
-    ) / n_total
-    var = np.maximum(second - mean**2, 0.0)
 
     comp_mean = totals[:3] / n_total
-    comp_second = np.array(
-        [
-            [totals[3], totals[6], totals[7]],
-            [totals[6], totals[4], totals[8]],
-            [totals[7], totals[8], totals[5]],
-        ]
-    ) / n_total
+    comp_second = totals[[3, 6, 7, 6, 4, 8, 7, 8, 5]].reshape(3, 3) / n_total  # E[q q^T], q=s0,c,s
     comp_cov = comp_second - np.outer(comp_mean, comp_mean)
-
     bessel = n_total / (n_total - 1)
-    stderr = np.sqrt(var * bessel / n_total)
     beat_cov = comp_cov * bessel / n_total  # covariance of the component means
+    components = np.stack([np.ones_like(theta), cos_t, sin_t])  # curve = components . means
+    stderr = np.sqrt(np.maximum(((beat_cov @ components) * components).sum(axis=0), 0.0))
 
     if mean.min() < -1e-9:
         raise DomainError("negative curve mean beyond roundoff; amplitude model is broken")
@@ -179,10 +164,8 @@ def fit_cosine(curve: G2Curve, delta_nu: float) -> tuple[float, float, np.ndarra
 
     Returns (level, amplitude, covariance).  The 2x2 parameter covariance is
     propagated from the curve's beat-component covariance when present (the
-    fit is a fixed linear map of the curve, so this is exact); with only
-    per-point stderr available it falls back to treating points as
-    independent, which understates the variance because the component noise
-    is common to all points.  Analytic curves get a zero matrix.
+    fit is a fixed linear map of the curve, so this is exact).  Analytic
+    curves get a zero matrix.
     """
     if delta_nu <= 0.0:
         raise DomainError("degenerate curve: delta_nu must be > 0")
@@ -205,9 +188,6 @@ def fit_cosine(curve: G2Curve, delta_nu: float) -> tuple[float, float, np.ndarra
         components = np.column_stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
         transfer = solver @ components
         cov = transfer @ np.asarray(curve.beat_cov) @ transfer.T
-    elif curve.stderr is not None:
-        point_var = np.asarray(curve.stderr) ** 2
-        cov = (solver * point_var[None, :]) @ solver.T
     return level, amplitude, cov
 
 
@@ -240,10 +220,10 @@ def visibility_from_curve(curve: G2Curve, delta_nu: float) -> VisibilityResult:
         amplitude = level
 
     v = amplitude / level
-    if curve.stderr is None and curve.beat_cov is None:
+    if curve.beat_cov is None:
         v_stderr = None
     else:
-        grad = np.array([-amplitude / level**2, 1.0 / level])
+        grad = np.array([-v / level, 1.0 / level])  # level**2 would underflow
         v_stderr = math.sqrt(max(float(grad @ cov @ grad), 0.0))
     return VisibilityResult(
         v=v,

@@ -17,14 +17,14 @@ def path_probabilities(intensity_ratio: float, bs: BeamSplitter) -> PathProbabil
 
         p1a = x T / (x T + R)      p2a = x R / (x R + T)
 
-    with T = 1 - R and x the intensity ratio I_a / I_b.
+    with T = 1 - R and x the intensity ratio I_a / I_b.  p1b and p2b are
+    quotients too, not 1 - p, so they keep their precision at extreme x.
     """
     x = _positive_real(intensity_ratio)
     r = bs.reflectivity
     t = bs.transmissivity
-    p1a = x * t / (x * t + r)
-    p2a = x * r / (x * r + t)
-    return PathProbabilities(p1a=p1a, p1b=1.0 - p1a, p2a=p2a, p2b=1.0 - p2a)
+    d1, d2 = x * t + r, x * r + t
+    return PathProbabilities(p1a=x * t / d1, p1b=r / d1, p2a=x * r / d2, p2b=t / d2)
 
 
 def way_probabilities(p: PathProbabilities) -> tuple[float, float, float]:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from absg2.alternatives import phase_model
+from absg2.analytic import visibility_expression
 from absg2.core import Alternative, DomainError, PairKind
 
 
@@ -86,3 +87,15 @@ def random_domain_points(n: int, seed: int) -> list[tuple[float, float]]:
     xs = 10.0 ** rng.uniform(-2.0, 2.0, n)
     rs = rng.uniform(0.02, 0.98, n)
     return [(float(x), float(r)) for x, r in zip(xs, rs)]
+
+
+def reference_sweep_csv(pair: PairKind, xs, rs) -> bytes:
+    """The sweep CSV built one cell at a time; the CLI's row-at-a-time
+    writer must give the same bytes."""
+    lines = ["pair,x,R,visibility"]
+    for x in xs:
+        for r in rs:
+            v = float(visibility_expression(pair, x, r))
+            cells = (format(float(x), ".9g"), format(float(r), ".9g"), format(v, ".9g"))
+            lines.append(",".join((pair.value, *cells)))
+    return ("\n".join(lines) + "\n").encode()

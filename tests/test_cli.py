@@ -2,9 +2,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from absg2.cli import main
+from absg2.cli import _PRESETS, main
+from absg2.core import PairKind
+
+from helpers import reference_sweep_csv
 
 
 def run(capsys, *argv):
@@ -75,6 +79,30 @@ def test_sweep_preset_surface(tmp_path, capsys):
     assert float(peak["R"]) == pytest.approx(0.5, abs=0.02)
 
 
+@pytest.mark.parametrize(
+    "argv, pair, xs, rs",
+    [
+        (["--preset", "lt-vs-r"], *_PRESETS["lt-vs-r"]),
+        (["--pair", "tt", "--x", "0.1:10:7", "--r", "0:1:11"],
+         "tt", np.linspace(0.1, 10, 7), np.linspace(0, 1, 11)),
+        (["--pair", "ss", "--x", "0.5,1,7", "--r", "0:1:5"], "ss", [0.5, 1, 7], np.linspace(0, 1, 5)),
+        (["--pair", "sl", "--x", "2", "--r", "0.3"], "sl", [2.0], [0.3]),
+    ],
+)
+def test_sweep_bytes_match_the_cell_by_cell_reference(tmp_path, capsys, argv, pair, xs, rs):
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == reference_sweep_csv(PairKind(pair), list(xs), list(rs))
+
+
+def test_sweep_rejects_a_cell_where_the_closed_form_is_not_finite(capsys):
+    # x + R - x R cancels to 0 at R = 1 for huge x, so LL divides 0 by 0 there
+    code, _, err = run(capsys, "sweep", "--pair", "ll", "--x", "1e300", "--r", "0:1:3", "--out", "-")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_sweep_malformed_spec(capsys):
     code, _, err = run(capsys, "sweep", "--pair", "ll", "--x", "1:2", "--r", "0.5", "--out", "-")
     assert code == 2
@@ -99,6 +127,11 @@ def test_g2_analytic_ss_dip(tmp_path, capsys):
     rows = list(csv.DictReader(out.open()))
     dip = [r for r in rows if float(r["tau"]) == 0.0]
     assert dip and float(dip[0]["g2"]) == 0.0
+    code, stdout, _ = run(
+        capsys, "g2", "--pair", "ss", "--x", "1", "--r", "0.5",
+        "--delta-nu", "1e6", "--tau=-1e-6:1e-6:41", "--out", "-",
+    )
+    assert code == 0 and stdout.encode() == out.read_bytes()
 
 
 def test_g2_mc_is_byte_identical_across_runs_and_threads(tmp_path, capsys):
@@ -110,6 +143,8 @@ def test_g2_mc_is_byte_identical_across_runs_and_threads(tmp_path, capsys):
     run(capsys, *args, "--threads", "4", "--out", str(paths[2]))
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+    _, stdout, _ = run(capsys, *args, "--out", "-")
+    assert stdout.rsplit("fitted V = ", 1)[0].encode() == blobs[0]
 
 
 def test_g2_mc_prints_fitted_visibility(tmp_path, capsys):
@@ -190,10 +225,14 @@ def test_sweep_round_trip_is_stable_at_declared_precision(tmp_path, capsys):
             assert format(float(row[key]), ".9g") == row[key]
 
 
-def test_sweep_to_stdout(capsys):
+def test_sweep_to_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--pair", "ll", "--x", "1", "--r", "0.5")
     assert code == 0
     assert out.splitlines() == ["pair,x,R,visibility", "ll,1,0.5,0.5"]
+    path = tmp_path / "grid.csv"
+    grid = ["sweep", "--pair", "lt", "--x", "log:0.1:10:7", "--r", "0:1:9"]
+    run(capsys, *grid, "--out", str(path))
+    assert run(capsys, *grid, "--out", "-")[1].encode() == path.read_bytes()
 
 
 def test_table1_json(capsys):

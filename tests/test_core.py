@@ -115,8 +115,12 @@ def test_g2_curve_checks():
         G2Curve(tau=(0.0, 1.0), g2=(1.0,))
     with pytest.raises(DomainError, match=">= 0"):
         G2Curve(tau=(0.0,), g2=(-0.5,))
+    cov = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     with pytest.raises(DomainError, match="stderr"):
-        G2Curve(tau=(0.0, 1.0), g2=(1.0, 1.0), stderr=(0.1,))
+        G2Curve(tau=(0.0, 1.0), g2=(1.0, 1.0), stderr=(0.1,), beat_cov=cov)
+    with pytest.raises(DomainError, match="stderr"):  # stderr alone understates the variance
+        G2Curve(tau=(0.0, 1.0), g2=(1.0, 1.0), stderr=(0.1, 0.1))
+    G2Curve(tau=(0.0, 1.0), g2=(1.0, 1.0), stderr=(0.1, 0.1), beat_cov=cov)
     with pytest.raises(DomainError, match="beat_cov"):
         G2Curve(tau=(0.0,), g2=(1.0,), beat_cov=((1.0, 0.0), (0.0, 1.0)))
 

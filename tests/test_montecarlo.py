@@ -64,10 +64,9 @@ def test_batched_estimator_matches_reference_loop():
     rng = np.random.Generator(np.random.Philox(key=[9, 0]))
     phases = rng.uniform(0, 2 * math.pi, size=(512, phase_model(PairKind.LT).n_slots))
     for i, tau in enumerate(cfg.tau_grid):
-        brute = np.mean([
-            realization_value(PairKind.LT, alts, phases[j], DELTA_NU, tau) for j in range(512)
-        ])
-        assert curve.g2[i] == pytest.approx(brute, abs=1e-10)
+        values = [realization_value(PairKind.LT, alts, phases[j], DELTA_NU, tau) for j in range(512)]
+        assert curve.g2[i] == pytest.approx(np.mean(values), abs=1e-10)
+        assert curve.stderr[i] == pytest.approx(np.std(values, ddof=1) / math.sqrt(512), rel=1e-9)
 
 
 def test_mean_converges_to_analytic_value():
