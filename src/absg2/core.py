@@ -223,9 +223,10 @@ class Alternative:
 class G2Curve:
     """Sampled second-order coherence curve, in proportional units.
 
-    Analytic curves carry n_realizations = 0 and no seed / stderr.  Monte
-    Carlo curves record how they were produced so runs can be reproduced
-    bit for bit.
+    Analytic curves carry n_realizations = 0 and no seed / stderr /
+    parallel_chunk.  Monte Carlo curves record how they were produced (seed,
+    n_realizations and parallel_chunk, which all change the result) so runs
+    can be reproduced bit for bit.
 
     A sampled curve is level + cos + sin components at the beat frequency,
     and the component noise is fully correlated across tau points (it does
@@ -241,6 +242,7 @@ class G2Curve:
     seed: int | None = None
     stderr: tuple[float, ...] | None = None
     beat_cov: tuple[tuple[float, float, float], ...] | None = None
+    parallel_chunk: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", tuple(float(t) for t in self.tau))
@@ -263,6 +265,8 @@ class G2Curve:
             raise DomainError("g2 values must be >= 0")
         if self.n_realizations < 0:
             raise DomainError("n_realizations must be >= 0")
+        if self.parallel_chunk is not None and self.parallel_chunk < 1:
+            raise DomainError("parallel_chunk must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ redundant degree of freedom and are never stored.
 
 from __future__ import annotations
 
-from .core import BeamSplitter, PathProbabilities, _positive_real
+import sys
+
+from .core import BeamSplitter, DomainError, PathProbabilities, _positive_real
 
 
 def path_probabilities(intensity_ratio: float, bs: BeamSplitter) -> PathProbabilities:
@@ -19,12 +21,17 @@ def path_probabilities(intensity_ratio: float, bs: BeamSplitter) -> PathProbabil
 
     with T = 1 - R and x the intensity ratio I_a / I_b.  p1b and p2b are
     quotients too, not 1 - p, so they keep their precision at extreme x.
+    A probability below the normal float range would have lost its
+    precision or be 0, so such an (x, R) pair is rejected.
     """
     x = _positive_real(intensity_ratio)
     r = bs.reflectivity
     t = bs.transmissivity
     d1, d2 = x * t + r, x * r + t
-    return PathProbabilities(p1a=x * t / d1, p1b=r / d1, p2a=x * r / d2, p2b=t / d2)
+    p1a, p1b, p2a, p2b = x * t / d1, r / d1, x * r / d2, t / d2
+    if min(p1a, p1b, p2a, p2b) < sys.float_info.min:
+        raise DomainError("a path probability is below 2.2e-308, the smallest normal float")
+    return PathProbabilities(p1a=p1a, p1b=p1b, p2a=p2a, p2b=p2b)
 
 
 def way_probabilities(p: PathProbabilities) -> tuple[float, float, float]:

@@ -123,6 +123,8 @@ def test_g2_curve_checks():
     G2Curve(tau=(0.0, 1.0), g2=(1.0, 1.0), stderr=(0.1, 0.1), beat_cov=cov)
     with pytest.raises(DomainError, match="beat_cov"):
         G2Curve(tau=(0.0,), g2=(1.0,), beat_cov=((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(DomainError, match="parallel_chunk"):
+        G2Curve(tau=(0.0,), g2=(1.0,), parallel_chunk=0)
 
 
 def test_visibility_result_identity():

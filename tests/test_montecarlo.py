@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from absg2.alternatives import enumerate_alternatives, phase_model
+from absg2.alternatives import enumerate_alternatives, independent_phase_slots, phase_model
 from absg2.analytic import g2_curve_analytic, visibility_from_extrema
 from absg2.core import (
     BeamSplitter,
@@ -15,6 +15,7 @@ from absg2.core import (
 )
 from absg2.montecarlo import (
     McSettings,
+    _cos_sin,
     fit_cosine,
     g2_monte_carlo,
     visibility_from_curve,
@@ -54,19 +55,45 @@ def test_realization_value_rejects_wrong_length():
         realization_value(PairKind.TT, alts, [0.0, 1.0], DELTA_NU, 0.0)
 
 
-def test_batched_estimator_matches_reference_loop():
-    cfg = _cfg(PairKind.LT, x=0.8, r=0.4)
-    settings = McSettings(n_realizations=512, seed=9, parallel_chunk=512)
-    curve = g2_monte_carlo(cfg, settings)
+@pytest.mark.parametrize("independent", [False, True], ids=["physical", "independent"])
+@pytest.mark.parametrize("pair", list(PairKind), ids=lambda p: p.value)
+def test_batched_estimator_matches_reference_loop(pair, independent):
+    # Two chunks, so the chunk merge is covered too.  Each pairing groups its
+    # terms differently, and the negative control has no shared phase sums.
+    n, chunk = 512, 256
+    cfg = _cfg(pair, x=0.8, r=0.4)
+    settings = McSettings(n_realizations=n, seed=9, parallel_chunk=chunk)
+    curve = g2_monte_carlo(cfg, settings, independent_phases=independent)
 
-    p = path_probabilities(0.8, BeamSplitter(0.4))
-    alts = enumerate_alternatives(PairKind.LT, p)
-    rng = np.random.Generator(np.random.Philox(key=[9, 0]))
-    phases = rng.uniform(0, 2 * math.pi, size=(512, phase_model(PairKind.LT).n_slots))
-    for i, tau in enumerate(cfg.tau_grid):
-        values = [realization_value(PairKind.LT, alts, phases[j], DELTA_NU, tau) for j in range(512)]
-        assert curve.g2[i] == pytest.approx(np.mean(values), abs=1e-10)
-        assert curve.stderr[i] == pytest.approx(np.std(values, ddof=1) / math.sqrt(512), rel=1e-9)
+    alts = enumerate_alternatives(pair, path_probabilities(0.8, BeamSplitter(0.4)))
+    n_slots = phase_model(pair).n_slots
+    if independent:
+        alts, n_slots = independent_phase_slots(alts)
+    phases = np.concatenate([
+        np.random.Generator(np.random.Philox(key=[9, i])).uniform(0, 2 * math.pi, size=(chunk, n_slots))
+        for i in range(n // chunk)
+    ])
+    values = np.array([
+        [realization_value(pair, alts, row, DELTA_NU, tau) for tau in cfg.tau_grid] for row in phases
+    ])
+    # (s0, c, s) per realization from the curve at beat phases 0, pi and pi/2.
+    v0, v_pi, v_half = (
+        np.array([realization_value(pair, alts, row, 1.0, tau) for row in phases])
+        for tau in (0.0, 0.5, 0.25)
+    )
+    s0 = (v0 + v_pi) / 2.0
+    components = np.stack([s0, (v0 - v_pi) / 2.0, v_half - s0])
+    beat_cov = np.cov(components, ddof=1) / n
+
+    # Relative agreement, with a floor for SS, whose true variance is 0: the
+    # library's sampled variance is roundoff of E[q^2] - E[q]^2, about eps
+    # times level^2 / n, so variances are compared, not standard errors.
+    level = float(np.mean(s0))
+    floor = 1e-12 * level**2 / n
+    assert np.asarray(curve.g2) == pytest.approx(values.mean(axis=0), rel=1e-12, abs=1e-12 * level)
+    variance = values.var(axis=0, ddof=1) / n
+    assert np.asarray(curve.stderr) ** 2 == pytest.approx(variance, rel=1e-12, abs=floor)
+    assert np.asarray(curve.beat_cov) == pytest.approx(beat_cov, rel=1e-12, abs=floor)
 
 
 def test_mean_converges_to_analytic_value():
@@ -97,13 +124,40 @@ def test_determinism_same_settings_bit_identical():
     assert a == b
 
 
-def test_determinism_across_thread_counts():
-    cfg = _cfg(PairKind.LT, x=0.8, r=0.4)
+@pytest.mark.parametrize("pair", list(PairKind), ids=lambda p: p.value)
+def test_determinism_across_thread_counts(pair):
+    cfg = _cfg(pair, x=0.8, r=0.4)
     curves = [
         g2_monte_carlo(cfg, McSettings(50_000, seed=42, threads=threads))
         for threads in (1, 2, 4)
     ]
     assert curves[0] == curves[1] == curves[2]
+
+
+def test_curve_records_parallel_chunk():
+    cfg = _cfg(PairKind.LT, x=0.8, r=0.4)
+    curve = g2_monte_carlo(cfg, McSettings(5_000, seed=3, parallel_chunk=1_000))
+    assert curve.parallel_chunk == 1_000
+    other = g2_monte_carlo(cfg, McSettings(5_000, seed=3, parallel_chunk=2_500))
+    assert other.parallel_chunk == 2_500 and other.g2 != curve.g2  # the chunk is part of the result
+    assert g2_curve_analytic(PairKind.LT, SYM, DELTA_NU, TAU_GRID).parallel_chunk is None
+
+
+def test_half_angle_cos_sin_matches_libm():
+    # psi spans [0, 4 pi); tan(psi / 2) has its poles at psi = pi and 3 pi.
+    psi = [0.0, np.nextafter(4 * math.pi, 0.0)]
+    for pole in (math.pi, 3 * math.pi):
+        below = above = pole
+        for _ in range(8):
+            psi += [below, above]
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 4 * math.pi)
+        psi += list(pole + np.linspace(-1e-6, 1e-6, 101))
+    psi = np.concatenate([psi, np.random.default_rng(0).uniform(0.0, 4 * math.pi, 10_000)])
+    cos, sin = _cos_sin(psi[np.newaxis] / 2.0)
+    eps = np.finfo(float).eps
+    assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
+    assert np.max(np.abs(cos - np.cos(psi))) <= 4 * eps
+    assert np.max(np.abs(sin - np.sin(psi))) <= 4 * eps
 
 
 def test_different_seed_changes_result():

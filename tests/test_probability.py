@@ -50,3 +50,15 @@ def test_rejects_bad_ratio():
         path_probabilities(0.0, BeamSplitter(0.5))
     with pytest.raises(DomainError, match="x must be > 0"):
         path_probabilities(-3.0, BeamSplitter(0.5))
+
+
+@pytest.mark.parametrize(
+    "x, r",
+    [(1e-300, 1e-30), (1e-300, 1.0 - 1e-16), (1e308, 0.4), (1e300, 1e-10), (3e-308, 0.4)],
+)
+def test_rejects_underflowing_path_probability(x, r):
+    # x R or x T, or R or T over it, below 2.2e-308: p2a (or p1b) would be 0
+    # or subnormal and the visibility would read 0.
+    with pytest.raises(DomainError, match="smallest normal float"):
+        path_probabilities(x, BeamSplitter(r))
+

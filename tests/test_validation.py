@@ -36,6 +36,9 @@ pairs = st.sampled_from(list(PairKind))
 ratios = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 reflectivities = st.floats(1e-3, 1.0 - 1e-3)
 X_MIN = sys.float_info.min  # a subnormal ratio is rejected
+# At R = 0.4, path_probabilities also needs p2a = 0.4 x / (0.4 x + 0.6) and
+# p1b = 0.4 / (0.6 x + 0.4) to stay normal floats.
+PP_LOW, PP_HIGH = 1.5 * X_MIN, (2.0 / 3.0) / X_MIN
 
 
 def _valid_visibility(v) -> None:
@@ -78,12 +81,16 @@ def test_beam_splitter_rejects_or_is_valid(pair, r):
 
 @settings(max_examples=300, deadline=None)
 @given(pair=pairs, x=scalars)
+@example(pair=PairKind.SS, x=3e-308)  # p2a is subnormal
+@example(pair=PairKind.SS, x=3.4e-308)  # p2a is just normal
+@example(pair=PairKind.SS, x=1e308)  # p1b is subnormal
 def test_path_probabilities_rejects_or_is_valid(pair, x):
     try:
         p = path_probabilities(x, BeamSplitter(0.4))
     except DomainError:
-        assert not _in_domain(x, math.inf, X_MIN)
+        assert not _in_domain(x, PP_HIGH, PP_LOW)
         return
+    assert _in_domain(x, PP_HIGH, PP_LOW)
     for prob in (p.p1a, p.p1b, p.p2a, p.p2b):
         assert math.isfinite(prob) and 0.0 <= prob <= 1.0
     _valid_visibility(visibility_analytic(pair, x, 0.4))
@@ -115,7 +122,11 @@ def test_experiment_config_rejects_or_is_valid(pair, x, delta_nu, tau):
     assert all(math.isfinite(t) for t in cfg.tau_grid)
     assert math.isfinite(cfg.delta_nu) and cfg.delta_nu >= 0.0
     _valid_visibility(visibility_analytic(cfg.pair, cfg.intensity_ratio, cfg.bs.reflectivity))
-    p = path_probabilities(cfg.intensity_ratio, cfg.bs)
+    try:
+        p = path_probabilities(cfg.intensity_ratio, cfg.bs)
+    except DomainError:
+        assert not _in_domain(x, PP_HIGH, PP_LOW)
+        return
     curve = g2_curve_analytic(cfg.pair, p, cfg.delta_nu, cfg.tau_grid)
     assert all(math.isfinite(g) for g in curve.g2)
 
@@ -158,6 +169,8 @@ def test_monte_carlo_fit_is_finite_or_rejected(pair, x, r):
         ["validate", "--n", "inf"],
         ["sweep", "--pair", "ll", "--x", "1,5e-324", "--r", "0.5"],  # subnormal x
         ["visibility", "--pair", "ll", "--x", "1e-310", "--r", "0.5"],
+        # x R underflows, so p2a is 0 and the fit read V = 0 +- 0
+        ["g2", "--pair", "ss", "--x", "1e-300", "--r", "1e-30", "--mode", "mc", "--n", "100"],
     ],
 )
 def test_cli_rejects_bad_g2_inputs_with_one_error_line(capsys, argv):
