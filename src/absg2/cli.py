@@ -12,7 +12,6 @@ environment variable (0 if unset) and is overridden by --seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -95,15 +94,29 @@ def _default_seed() -> int:
 
 def _write_csv(path: str, header: str, blocks) -> None:
     """Write the header, then each block of rows, to path ('-' for stdout).
-    A block is a tuple of columns of formatted cells; one is in memory at a time."""
-    if path == "-":
-        out = contextlib.nullcontext(sys.stdout)
-    else:
-        out = open(path, "w", encoding="utf-8", newline="")
-    with out as fh:
+    A block is a tuple of columns of formatted cells; one is in memory at a time.
+
+    A file is written under a temporary name beside path and renamed onto it
+    only after the last block, so a command that fails part way leaves path
+    as it was."""
+
+    def write(fh) -> None:
         fh.write(header + "\n")
         for columns in blocks:
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+    if path == "-":
+        write(sys.stdout)
+        return
+    part = f"{path}.{os.getpid()}.part"
+    fh = open(part, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            write(fh)
+        os.replace(part, path)
+    except BaseException:
+        os.remove(part)
+        raise
 
 
 def _mc_settings(args: argparse.Namespace) -> McSettings:

@@ -11,7 +11,10 @@ that sum.  A chunk therefore evaluates one phase sum per group of such
 terms, gets its cosine and sine from one vectorized tangent of the half
 angle, and mixes them into the two partial amplitude sums with one small
 real matrix that carries every term's weight and reflection factor.  There
-is no complex arithmetic and no per-term exponential.
+is no complex arithmetic and no per-term exponential.  Each thread keeps one
+workspace for the whole call and every stage of a chunk writes into it, so
+chunks allocate no arrays of their own; the workspace is freed when the
+call returns.
 
 Frame convention (fixed so that runs are reproducible): the photon reaching
 detector 1 is evaluated at t1 = tau and the one reaching detector 2 at
@@ -20,8 +23,10 @@ frequency difference and tau survive the ensemble average, so the convention
 does not affect the curve, just the per-realization noise.
 
 Determinism: realizations are split into fixed-size chunks; chunk i draws
-from a counter-based generator keyed by (seed, i) and partial sums are
-combined in chunk order.  The result is therefore bit-identical for a given
+from a counter-based generator keyed by (seed, i).  Each chunk reports the
+mean of its (s0, c, s) triples and their centred second-moment sum, and
+the chunks are merged in chunk order with the pairwise update of Chan,
+Golub and LeVeque.  The result is therefore bit-identical for a given
 (seed, n_realizations, parallel_chunk) no matter how many threads ran the
 chunks.
 """
@@ -29,6 +34,7 @@ chunks.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -98,38 +104,64 @@ def _term_arrays(alts: list[Alternative], n_slots: int):
     return half_sums, mix
 
 
-def _cos_sin(half_psi):
-    """cos psi stacked over sin psi, from half_psi = psi / 2 of shape (G, n).
+def _cos_sin(half_psi, out):
+    """cos psi stacked over sin psi into out (2G, n), from half_psi = psi / 2
+    of shape (G, n).
 
     One tangent t = tan(psi / 2) gives both: cos = (1 - t^2) / (1 + t^2) and
     sin = 2t / (1 + t^2).  numpy (2.4, x86-64) has a SIMD loop for float64
     np.tan but not for np.cos or np.sin, so this is several times cheaper
     than either.  For psi in [0, 4 pi) t is finite, also next to its poles
     at psi = pi and 3 pi, and both results stay within about one ulp of
-    np.cos and np.sin.  half_psi is overwritten.
+    np.cos and np.sin.  half_psi is overwritten: it holds t, then 1 + t^2.
     """
     n_groups = len(half_psi)
-    trig = np.empty((2 * n_groups, half_psi.shape[1]))
-    cos, sin = trig[:n_groups], trig[n_groups:]
+    cos, sin = out[:n_groups], out[n_groups:]
     t = np.tan(half_psi, out=half_psi)
     np.multiply(t, t, out=cos)
-    denom = cos + 1.0
+    np.add(t, t, out=sin)
+    denom = np.add(cos, 1.0, out=half_psi)  # t is not needed after sin
     np.subtract(1.0, cos, out=cos)
     cos /= denom
-    np.add(t, t, out=sin)
     sin /= denom
-    return trig
+    return out
 
 
-def _chunk_moments(seed, chunk_index, n, n_slots, half_sums, mix):
-    """Moment sums of (s0, c, s) over one chunk of realizations.
+class _Workspace:
+    """The arrays one chunk of n realizations works in, reused chunk after
+    chunk by one thread: phases (n, n_slots), psi / 2 (G, n), cos and sin
+    (2G, n), (Re U, Im U, Re W, Im W) (4, n), the triple (s0, c, s) (3, n)
+    and one scratch row (n,).
+
+    Each stage of :func:`_chunk_moments` reads only what the stage before it
+    wrote, so the stages alternate between two buffers: a holds the phases,
+    then cos and sin, then the triple and the scratch row; b holds psi / 2
+    (and 1 + t^2 in :func:`_cos_sin`), then U and W.
+    """
+
+    def __init__(self, n: int, n_slots: int, n_groups: int):
+        a = np.empty(n * max(n_slots, 2 * n_groups, 4))
+        b = np.empty(n * max(n_groups, 4))
+        self.phases = a[:n * n_slots].reshape(n, n_slots)
+        self.trig = a[:2 * n_groups * n].reshape(2 * n_groups, n)
+        self.q = a[:3 * n].reshape(3, n)
+        self.scratch = a[3 * n:4 * n]
+        self.half_psi = b[:n_groups * n].reshape(n_groups, n)
+        self.uw = b[:4 * n].reshape(4, n)
+
+
+def _chunk_moments(seed, chunk_index, ws, half_sums, mix):
+    """(mean, M2) of q = (s0, c, s) over one chunk of len(ws.phases)
+    realizations, M2 being the 3x3 sum of (q - mean)(q - mean)^T.
 
     Because the only tau dependence is the beat factor on the photon at
     detector 1, a realization's curve is s0 + c cos(theta) + s sin(theta)
     with theta = 2 pi delta_nu tau, where s0, c, s come from the two partial
     amplitude sums U (detector-1 photon from source a) and W (from source b).
-    Accumulating first and second moments of the triple reproduces the
-    per-tau mean and variance exactly.
+    The first and second moments of the triple reproduce the per-tau mean
+    and variance exactly.  M2 is summed after q is centred on the chunk
+    mean, so it does not cancel like E[q q^T] - E[q] E[q]^T, and its
+    diagonal is a sum of squares, never negative.
 
     The amplitudes are evaluated in real arithmetic with one phase per group
     of terms that share a phase sum psi (see :func:`_term_arrays`), not one
@@ -137,21 +169,35 @@ def _chunk_moments(seed, chunk_index, n, n_slots, half_sums, mix):
     to one rounding, :func:`_cos_sin` turns it into cos psi and sin psi
     through one tangent, and (Re U, Im U, Re W, Im W) = [cos psi, sin psi]
     @ mix.
+
+    Every step writes into the workspace ws (see :class:`_Workspace`), so a
+    chunk allocates nothing the size of the chunk.  The draw is rng.random
+    scaled by 2 pi, which is what rng.uniform(0, 2 pi) computes, bit for bit.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(n, n_slots))
-    trig = _cos_sin(half_sums.T @ phases.T)
-    ur, ui, wr, wi = mix.T @ trig
-    s0 = ur**2 + ui**2 + wr**2 + wi**2
-    c = 2.0 * (ur * wr + ui * wi)
-    s = 2.0 * (ur * wi - ui * wr)
-    return np.array(
-        [
-            s0.sum(), c.sum(), s.sum(),
-            (s0 * s0).sum(), (c * c).sum(), (s * s).sum(),
-            (s0 * c).sum(), (s0 * s).sum(), (c * s).sum(),
-        ]
-    )
+    phases = rng.random(out=ws.phases)
+    phases *= 2.0 * math.pi
+    np.matmul(half_sums.T, phases.T, out=ws.half_psi)
+    trig = _cos_sin(ws.half_psi, ws.trig)
+    ur, ui, wr, wi = np.matmul(mix.T, trig, out=ws.uw)
+    q, tmp = ws.q, ws.scratch
+    s0, c, s = q
+    np.multiply(ur, ur, out=s0)
+    for v in (ui, wr, wi):
+        s0 += np.multiply(v, v, out=tmp)
+    np.multiply(ur, wr, out=c)
+    c += np.multiply(ui, wi, out=tmp)
+    c *= 2.0
+    np.multiply(ur, wi, out=s)
+    s -= np.multiply(ui, wr, out=tmp)
+    s *= 2.0
+    mean = q.sum(axis=1) / len(s0)
+    q -= mean[:, np.newaxis]
+    m2 = np.empty((3, 3))
+    for i in range(3):
+        for j in range(i + 1):
+            m2[i, j] = m2[j, i] = np.multiply(q[i], q[j], out=tmp).sum()
+    return mean, m2
 
 
 def g2_monte_carlo(
@@ -170,14 +216,22 @@ def g2_monte_carlo(
     n_slots = phase_model(cfg.pair).n_slots
     if independent_phases:
         alts, n_slots = independent_phase_slots(alts)
-    arrays = _term_arrays(alts, n_slots)
+    half_sums, mix = _term_arrays(alts, n_slots)
+    n_groups = half_sums.shape[1]
 
     n_total = settings.n_realizations
     chunk = settings.parallel_chunk
     counts = [min(chunk, n_total - start) for start in range(0, n_total, chunk)]
+    local = threading.local()  # one workspace per thread, freed with this call
 
     def run(i: int):
-        return _chunk_moments(settings.seed, i, counts[i], n_slots, *arrays)
+        if counts[i] < counts[0]:  # the shorter last chunk gets arrays of its own
+            ws = _Workspace(counts[i], n_slots, n_groups)
+        elif hasattr(local, "ws"):
+            ws = local.ws
+        else:
+            ws = local.ws = _Workspace(counts[0], n_slots, n_groups)
+        return _chunk_moments(settings.seed, i, ws, half_sums, mix)
 
     if settings.threads > 1 and len(counts) > 1:
         with ThreadPoolExecutor(max_workers=settings.threads) as pool:
@@ -185,29 +239,28 @@ def g2_monte_carlo(
     else:
         parts = [run(i) for i in range(len(counts))]
 
-    totals = np.zeros(9)
-    for part in parts:  # fixed chunk order keeps the reduction deterministic
-        totals += part
+    # Chan, Golub and LeVeque's pairwise update, in fixed chunk order so the
+    # result does not depend on the thread count.
+    n_seen, mean, m2 = 0, np.zeros(3), np.zeros((3, 3))
+    for n_chunk, (chunk_mean, chunk_m2) in zip(counts, parts):
+        delta = chunk_mean - mean
+        n_seen += n_chunk
+        mean += delta * (n_chunk / n_seen)
+        m2 += chunk_m2 + np.outer(delta, delta) * ((n_seen - n_chunk) * n_chunk / n_seen)
+    beat_cov = m2 / (n_total * (n_total - 1.0))  # covariance of the component means
 
     theta = 2.0 * math.pi * cfg.delta_nu * np.asarray(cfg.tau_grid)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    mean = (totals[0] + totals[1] * cos_t + totals[2] * sin_t) / n_total
-
-    comp_mean = totals[:3] / n_total
-    comp_second = totals[[3, 6, 7, 6, 4, 8, 7, 8, 5]].reshape(3, 3) / n_total  # E[q q^T], q=s0,c,s
-    comp_cov = comp_second - np.outer(comp_mean, comp_mean)
-    bessel = n_total / (n_total - 1)
-    beat_cov = comp_cov * bessel / n_total  # covariance of the component means
-    components = np.stack([np.ones_like(theta), cos_t, sin_t])  # curve = components . means
+    components = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
     stderr = np.sqrt(np.maximum(((beat_cov @ components) * components).sum(axis=0), 0.0))
+    g2 = mean[0] + mean[1] * components[1] + mean[2] * components[2]
 
-    if mean.min() < -1e-9:
+    if g2.min() < -1e-9:
         raise DomainError("negative curve mean beyond roundoff; amplitude model is broken")
-    mean = np.maximum(mean, 0.0)  # clip -1e-17 style roundoff at exact dips
+    g2 = np.maximum(g2, 0.0)  # clip -1e-17 style roundoff at exact dips
 
     return G2Curve(
         tau=cfg.tau_grid,
-        g2=tuple(float(v) for v in mean),
+        g2=tuple(float(v) for v in g2),
         n_realizations=n_total,
         seed=settings.seed,
         stderr=tuple(float(v) for v in stderr),

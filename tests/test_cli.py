@@ -53,7 +53,7 @@ def test_sweep_mirror_symmetry_with_endpoints(tmp_path, capsys):
     out = tmp_path / "mirror.csv"
     code, _, _ = run(capsys, "sweep", "--pair", "lt", "--x", "0.71", "--r", "0:1:101", "--out", str(out))
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 101
     vs = [float(r["visibility"]) for r in rows]
     assert vs[0] == 0.0 and vs[100] == 0.0
@@ -63,7 +63,7 @@ def test_sweep_mirror_symmetry_with_endpoints(tmp_path, capsys):
 def test_sweep_ss_ignores_ratio(tmp_path, capsys):
     out = tmp_path / "ss.csv"
     run(capsys, "sweep", "--pair", "ss", "--x", "1,10", "--r", "0.3", "--out", str(out))
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows[0]["visibility"] == rows[1]["visibility"]
 
 
@@ -71,7 +71,7 @@ def test_sweep_preset_surface(tmp_path, capsys):
     out = tmp_path / "surface.csv"
     code, _, _ = run(capsys, "sweep", "--preset", "lt-surface", "--out", str(out))
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 9800
     peak = max(rows, key=lambda r: float(r["visibility"]))
     assert float(peak["visibility"]) == pytest.approx(1 / (math.sqrt(2) + 1), abs=1e-3)
@@ -96,11 +96,18 @@ def test_sweep_bytes_match_the_cell_by_cell_reference(tmp_path, capsys, argv, pa
     assert out.read_bytes() == reference_sweep_csv(PairKind(pair), list(xs), list(rs))
 
 
-def test_sweep_rejects_a_cell_where_the_closed_form_is_not_finite(capsys):
+def test_sweep_rejects_a_cell_where_the_closed_form_is_not_finite(tmp_path, capsys):
     # x + R - x R cancels to 0 at R = 1 for huge x, so LL divides 0 by 0 there
     code, _, err = run(capsys, "sweep", "--pair", "ll", "--x", "1e300", "--r", "0:1:3", "--out", "-")
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    # The second x fails after the first row is complete: the file is kept as it was.
+    out = tmp_path / "f.csv"
+    out.write_text("earlier output\n")
+    code, _, err = run(capsys, "sweep", "--pair", "lt", "--x", "1,1e17", "--r", "0:1:3", "--out", str(out))
+    assert code == 2 and err.startswith("error: ")
+    assert out.read_text() == "earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]  # no temporary file is left
 
 
 def test_sweep_malformed_spec(capsys):
@@ -124,7 +131,7 @@ def test_g2_analytic_ss_dip(tmp_path, capsys):
         "--delta-nu", "1e6", "--tau=-1e-6:1e-6:41", "--out", str(out),
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     dip = [r for r in rows if float(r["tau"]) == 0.0]
     assert dip and float(dip[0]["g2"]) == 0.0
     code, stdout, _ = run(
@@ -219,7 +226,7 @@ def test_validate_exit_code_on_mismatch(capsys, monkeypatch):
 def test_sweep_round_trip_is_stable_at_declared_precision(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     run(capsys, "sweep", "--pair", "tt", "--x", "log:0.1:10:7", "--r", "0.2:0.8:5", "--out", str(out))
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     for row in rows:
         for key in ("x", "R", "visibility"):
             assert format(float(row[key]), ".9g") == row[key]

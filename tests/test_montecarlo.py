@@ -15,7 +15,10 @@ from absg2.core import (
 )
 from absg2.montecarlo import (
     McSettings,
+    _chunk_moments,
     _cos_sin,
+    _term_arrays,
+    _Workspace,
     fit_cosine,
     g2_monte_carlo,
     visibility_from_curve,
@@ -85,15 +88,18 @@ def test_batched_estimator_matches_reference_loop(pair, independent):
     components = np.stack([s0, (v0 - v_pi) / 2.0, v_half - s0])
     beat_cov = np.cov(components, ddof=1) / n
 
-    # Relative agreement, with a floor for SS, whose true variance is 0: the
-    # library's sampled variance is roundoff of E[q^2] - E[q]^2, about eps
-    # times level^2 / n, so variances are compared, not standard errors.
+    # Relative agreement, with floors where the true value is 0.  SS has no
+    # variance at all, so both sides' variances are roundoff, about 1e-31
+    # (library) and 3e-28 (loop) times level^2 / n; variances are compared,
+    # not standard errors.  In the SS negative control s0 is constant, so its
+    # covariances with c and s are roundoff too, about 1e-17 level^2 / n.
     level = float(np.mean(s0))
-    floor = 1e-12 * level**2 / n
+    unit = level**2 / n
     assert np.asarray(curve.g2) == pytest.approx(values.mean(axis=0), rel=1e-12, abs=1e-12 * level)
     variance = values.var(axis=0, ddof=1) / n
-    assert np.asarray(curve.stderr) ** 2 == pytest.approx(variance, rel=1e-12, abs=floor)
-    assert np.asarray(curve.beat_cov) == pytest.approx(beat_cov, rel=1e-12, abs=floor)
+    assert np.asarray(curve.stderr) ** 2 == pytest.approx(variance, rel=1e-12, abs=1e-26 * unit)
+    assert np.diag(curve.beat_cov) == pytest.approx(np.diag(beat_cov), rel=1e-12, abs=1e-26 * unit)
+    assert np.asarray(curve.beat_cov) == pytest.approx(beat_cov, rel=1e-12, abs=1e-15 * unit)
 
 
 def test_mean_converges_to_analytic_value():
@@ -126,12 +132,42 @@ def test_determinism_same_settings_bit_identical():
 
 @pytest.mark.parametrize("pair", list(PairKind), ids=lambda p: p.value)
 def test_determinism_across_thread_counts(pair):
+    # Each run ends in a shorter chunk; with (7, 3) it holds one realization.
     cfg = _cfg(pair, x=0.8, r=0.4)
-    curves = [
-        g2_monte_carlo(cfg, McSettings(50_000, seed=42, threads=threads))
-        for threads in (1, 2, 4)
-    ]
-    assert curves[0] == curves[1] == curves[2]
+    for n, chunk in ((50_000, 16_384), (50_001, 1_000), (7, 3)):
+        curves = [
+            g2_monte_carlo(cfg, McSettings(n, seed=42, parallel_chunk=chunk, threads=threads))
+            for threads in (1, 2, 4)
+        ]
+        assert curves[0] == curves[1] == curves[2]
+
+
+@pytest.mark.parametrize("independent", [False, True], ids=["physical", "independent"])
+def test_chunk_moments_do_not_depend_on_what_the_workspace_held(independent):
+    alts = enumerate_alternatives(PairKind.TT, path_probabilities(0.8, BeamSplitter(0.4)))
+    n_slots = phase_model(PairKind.TT).n_slots
+    if independent:
+        alts, n_slots = independent_phase_slots(alts)
+    half_sums, mix = _term_arrays(alts, n_slots)
+    n, n_groups = 1_000, half_sums.shape[1]
+    dirty = _Workspace(n, n_slots, n_groups)
+    for array in vars(dirty).values():
+        array.fill(np.nan)
+    for chunk_index in (3, 0):
+        reused = _chunk_moments(5, chunk_index, dirty, half_sums, mix)
+        fresh = _chunk_moments(5, chunk_index, _Workspace(n, n_slots, n_groups), half_sums, mix)
+        for a, b in zip(reused, fresh):
+            assert np.array_equal(a, b)
+    # the two chunks differ, so what the first one left behind is no zero change
+    assert not np.array_equal(reused[0], _chunk_moments(5, 3, dirty, half_sums, mix)[0])
+
+
+@pytest.mark.parametrize("pair", list(PairKind), ids=lambda p: p.value)
+def test_beat_covariance_diagonal_is_not_negative(pair):
+    # At x = 2 every SS realization has the same (s0, c, s) up to roundoff;
+    # E[q q^T] - E[q] E[q]^T gave a variance of -5e-22 here.
+    curve = g2_monte_carlo(_cfg(pair, x=2.0, r=0.4), McSettings(20_000, seed=1))
+    assert np.all(np.diag(np.asarray(curve.beat_cov)) >= 0.0)
 
 
 def test_curve_records_parallel_chunk():
@@ -153,7 +189,7 @@ def test_half_angle_cos_sin_matches_libm():
             below, above = np.nextafter(below, 0.0), np.nextafter(above, 4 * math.pi)
         psi += list(pole + np.linspace(-1e-6, 1e-6, 101))
     psi = np.concatenate([psi, np.random.default_rng(0).uniform(0.0, 4 * math.pi, 10_000)])
-    cos, sin = _cos_sin(psi[np.newaxis] / 2.0)
+    cos, sin = _cos_sin(psi[np.newaxis] / 2.0, np.empty((2, len(psi))))
     eps = np.finfo(float).eps
     assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
     assert np.max(np.abs(cos - np.cos(psi))) <= 4 * eps
